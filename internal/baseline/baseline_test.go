@@ -273,7 +273,7 @@ func TestHashCacheEviction(t *testing.T) {
 		pr := prompt(8)
 		pr[0] = 1000 + i // distinct prompts
 		blocks, _ := pool.alloc(2)
-		c.insert(pr, blocks, pool)
+		c.insert(pr, nil, blocks, pool)
 		for _, b := range blocks {
 			pool.release(b)
 		}

@@ -351,7 +351,7 @@ func (e *Engine) step() {
 				r.prefilled = len(r.Prompt)
 				// The prefix is now reusable by concurrent requests
 				// (SGLang shares in-flight prefixes via the radix tree).
-				e.cache.insert(r.Prompt, r.blocks, e.blockPool)
+				e.cache.insert(r.Prompt, nil, r.blocks, e.blockPool)
 			}
 			still = append(still, r)
 			continue
@@ -414,8 +414,7 @@ func (e *Engine) nextToken(r *Request) int {
 // baselines partially mitigate agent re-prefills (§2.2).
 func (e *Engine) finish(r *Request) {
 	r.Finished = e.clock.Now()
-	seq := append(append([]int(nil), r.Prompt...), r.Output...)
-	e.cache.insert(seq, r.blocks, e.blockPool)
+	e.cache.insert(r.Prompt, r.Output, r.blocks, e.blockPool)
 	for _, b := range r.blocks {
 		e.blockPool.release(b)
 	}

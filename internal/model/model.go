@@ -14,6 +14,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pie/internal/sim"
@@ -550,30 +551,68 @@ func (m *Model) NextDist(slot *EmbedSlot) (tokens []int, probs []float32, err er
 	}
 	logits := m.Logits(slot.Vec)
 	tensor.Softmax(logits)
-	k := m.cfg.TopK
-	if k > len(logits) {
-		k = len(logits)
-	}
-	idx := make([]int, len(logits))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if logits[idx[a]] != logits[idx[b]] {
-			return logits[idx[a]] > logits[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	idx = idx[:k]
+	tokens = topK(logits, min(m.cfg.TopK, len(logits)))
 	var sum float32
-	for _, i := range idx {
+	for _, i := range tokens {
 		sum += logits[i]
 	}
-	tokens = make([]int, k)
-	probs = make([]float32, k)
-	for j, i := range idx {
-		tokens[j] = i
+	probs = make([]float32, len(tokens))
+	for j, i := range tokens {
 		probs[j] = logits[i] / sum
 	}
 	return tokens, probs, nil
+}
+
+// topK returns the ids of the k highest probabilities ordered by
+// probability descending, then id ascending: the first k of a full sort
+// under that order, selected through a k-sized heap in O(n log k).
+func topK(probs []float32, k int) []int {
+	// ahead reports whether id a ranks before id b.
+	ahead := func(a, b int) bool {
+		if probs[a] != probs[b] {
+			return probs[a] > probs[b]
+		}
+		return a < b
+	}
+	// h is a heap of the best k ids so far, rooted at the lowest ranked.
+	h := make([]int, k)
+	down := func(p int) {
+		for {
+			c := 2*p + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && ahead(h[c], h[c+1]) {
+				c++
+			}
+			if !ahead(h[p], h[c]) {
+				return
+			}
+			h[p], h[c] = h[c], h[p]
+			p = c
+		}
+	}
+	for i := range h {
+		h[i] = i
+	}
+	for p := k/2 - 1; p >= 0; p-- {
+		down(p)
+	}
+	for i := k; i < len(probs); i++ {
+		// i exceeds every id in h, so it ranks ahead only on probability.
+		if probs[i] > probs[h[0]] {
+			h[0] = i
+			down(0)
+		}
+	}
+	slices.SortFunc(h, func(a, b int) int {
+		switch {
+		case a == b:
+			return 0
+		case ahead(a, b):
+			return -1
+		}
+		return 1
+	})
+	return h
 }

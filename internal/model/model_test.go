@@ -2,6 +2,9 @@ package model
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -429,6 +432,48 @@ func BenchmarkForwardDecodeStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Forward(pages, []*EmbedSlot{q}, nil, []*EmbedSlot{out}, nil, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestTopKMatchesFullSort checks the heap selection against the full sort
+// it replaces, on inputs dense with tied probabilities.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(300)
+		probs := make([]float32, n)
+		for i := range probs {
+			probs[i] = float32(rng.IntN(8)) / 8
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if probs[want[a]] != probs[want[b]] {
+				return probs[want[a]] > probs[want[b]]
+			}
+			return want[a] < want[b]
+		})
+		k := 1 + rng.IntN(n)
+		if got := topK(probs, k); !slices.Equal(got, want[:k]) {
+			t.Fatalf("trial %d: topK(n=%d, k=%d) = %v, want %v", trial, n, k, got, want[:k])
+		}
+	}
+}
+
+func BenchmarkNextDist(b *testing.B) {
+	m := StandardCatalog(42).Models["llama-1b"]
+	ids := m.Tokenizer().Encode("the next token distribution ")
+	out := m.NewEmbedSlot()
+	if _, err := m.Forward(nil, embedPrompt(b, m, ids, 0), nil, []*EmbedSlot{out}, nil, ""); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := m.NextDist(out); err != nil {
 			b.Fatal(err)
 		}
 	}
