@@ -43,6 +43,9 @@ func (c Config) Validate() error {
 	if c.Dim != c.Heads*c.HeadDim {
 		return fmt.Errorf("model: Dim %d != Heads*HeadDim %d", c.Dim, c.Heads*c.HeadDim)
 	}
+	if c.HeadDim%2 != 0 {
+		return fmt.Errorf("model: HeadDim %d is odd; RoPE rotates pairs", c.HeadDim)
+	}
 	if c.PageSize <= 0 || c.Layers <= 0 || c.TopK <= 0 {
 		return fmt.Errorf("model: non-positive size field in config %+v", c)
 	}
@@ -73,6 +76,7 @@ type Model struct {
 	embed    []float32 // vocab x dim, tied with the output head
 	layers   []layer
 	normF    []float32
+	ropeDiv  []float64 // tensor.RopeDivisors for this head size and base
 	adapters map[string]*Adapter
 }
 
@@ -101,6 +105,7 @@ func New(cfg Config, tok *tokenizer.Tokenizer) *Model {
 	}
 	m.embed = randMat(vocab, cfg.Dim)
 	m.normF = ones(cfg.Dim)
+	m.ropeDiv = tensor.RopeDivisors(cfg.HeadDim, cfg.RopeBase)
 	for l := 0; l < cfg.Layers; l++ {
 		m.layers = append(m.layers, layer{
 			wq: randMat(cfg.Dim, cfg.Dim), wk: randMat(cfg.Dim, cfg.Dim),
@@ -383,125 +388,106 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 		}
 	}
 
-	d, hd, heads, L := m.cfg.Dim, m.cfg.HeadDim, m.cfg.Heads, m.cfg.Layers
-	h := make([][]float32, n) // residual stream
-	for i := range h {
-		h[i] = tensor.Copy(inputs[i].Vec)
+	d, hd, heads, L, ffDim := m.cfg.Dim, m.cfg.HeadDim, m.cfg.Heads, m.cfg.Layers, m.cfg.FFDim
+	h := make([]float32, n*d) // residual stream, one row per input
+	for i, in := range inputs {
+		copy(h[i*d:(i+1)*d], in.Vec)
 	}
-	// Per-input per-layer new KV (needed for intra-batch attention).
-	newK := make([][][]float32, n)
-	newV := make([][][]float32, n)
-	for i := range newK {
-		newK[i] = make([][]float32, L)
-		newV[i] = make([][]float32, L)
+	// The inputs' new KV entries, one layers*dim row per input laid out as
+	// in a KvPage, so attention reads them like context entries.
+	kvSlab := make([]float32, 2*n*L*d)
+	newK, newV := kvSlab[:n*L*d], kvSlab[n*L*d:]
+	// Key and value rows of every attention column: context entries in
+	// gather order, then the inputs.
+	colK := make([][]float32, nc+n)
+	colV := make([][]float32, nc+n)
+	for c, r := range refs {
+		colK[c], colV[c] = r.page.K[r.slot], r.page.V[r.slot]
 	}
-
-	allow := func(i int, col int) bool { // col < nc: context; else input index col-nc
-		if mask != nil {
-			return mask[i][col]
-		}
-		pi := inputs[i].Pos
-		if col < nc {
-			r := refs[col]
-			return r.page.Pos[r.slot] <= pi
-		}
-		return inputs[col-nc].Pos <= pi
+	for j := 0; j < n; j++ {
+		colK[nc+j], colV[nc+j] = newK[j*L*d:(j+1)*L*d], newV[j*L*d:(j+1)*L*d]
+	}
+	cols := attentionColumns(refs, inputs, mask)
+	// One RoPE table per input serves q and k of every head and layer.
+	rope := make([]float32, n*hd)
+	for i, in := range inputs {
+		tensor.RopeTable(rope[i*hd:(i+1)*hd], in.Pos, m.ropeDiv)
 	}
 
 	xn := make([]float32, d)
-	q := make([]float32, d)
+	qs := make([]float32, n*d)
 	scores := make([]float32, nc+n)
 	attnOut := make([]float32, d)
 	proj := make([]float32, d)
-	ff1 := make([]float32, m.cfg.FFDim)
-	ff3 := make([]float32, m.cfg.FFDim)
-	lowQ := make([]float32, 64)
+	ff1 := make([]float32, ffDim)
+	ff3 := make([]float32, ffDim)
+	var lowRank []float32
+	if adapter != nil {
+		lowRank = make([]float32, adapter.Rank)
+	}
 	invSqrt := 1 / float32(math.Sqrt(float64(hd)))
 
 	for l := 0; l < L; l++ {
 		lw := &m.layers[l]
-		// Compute k,v for every input token first (post-RoPE keys).
+		// Project q, k, v for every input first (post-RoPE q and k): every
+		// input's attention reads every other input's k and v.
 		for i := 0; i < n; i++ {
-			tensor.RMSNorm(h[i], lw.norm1, xn, 1e-5)
-			k := make([]float32, d)
-			v := make([]float32, d)
+			tensor.RMSNorm(h[i*d:(i+1)*d], lw.norm1, xn, 1e-5)
+			q := qs[i*d : (i+1)*d]
+			k := newK[(i*L+l)*d : (i*L+l+1)*d]
+			v := newV[(i*L+l)*d : (i*L+l+1)*d]
+			tensor.MatVec(lw.wq, d, d, xn, q)
 			tensor.MatVec(lw.wk, d, d, xn, k)
 			tensor.MatVec(lw.wv, d, d, xn, v)
 			if adapter != nil {
-				applyLoRA(adapter.av[l], adapter.bv[l], adapter.Rank, adapter.Scale, xn, v, lowQ)
+				applyLoRA(adapter.av[l], adapter.bv[l], adapter.Rank, adapter.Scale, xn, v, lowRank)
+				applyLoRA(adapter.aq[l], adapter.bq[l], adapter.Rank, adapter.Scale, xn, q, lowRank)
 			}
-			tensor.Rope(k, hd, inputs[i].Pos, m.cfg.RopeBase)
-			newK[i][l], newV[i][l] = k, v
+			tab := rope[i*hd : (i+1)*hd]
+			tensor.RopeApply(k, tab)
+			tensor.RopeApply(q, tab)
 		}
 		for i := 0; i < n; i++ {
-			tensor.RMSNorm(h[i], lw.norm1, xn, 1e-5)
-			tensor.MatVec(lw.wq, d, d, xn, q)
-			if adapter != nil {
-				applyLoRA(adapter.aq[l], adapter.bq[l], adapter.Rank, adapter.Scale, xn, q, lowQ)
-			}
-			tensor.Rope(q, hd, inputs[i].Pos, m.cfg.RopeBase)
+			hi := h[i*d : (i+1)*d]
 			for hh := 0; hh < heads; hh++ {
-				qh := q[hh*hd : (hh+1)*hd]
-				cols := 0
-				scores = scores[:0]
-				colIdx := make([]int, 0, nc+n)
-				for cIdx := 0; cIdx < nc+n; cIdx++ {
-					if !allow(i, cIdx) {
-						continue
-					}
-					var kvec []float32
-					if cIdx < nc {
-						r := refs[cIdx]
-						kvec = r.page.K[r.slot][l*d : (l+1)*d]
-					} else {
-						kvec = newK[cIdx-nc][l]
-					}
-					scores = append(scores, tensor.Dot(qh, kvec[hh*hd:(hh+1)*hd])*invSqrt)
-					colIdx = append(colIdx, cIdx)
-					cols++
-				}
-				for j := range attnOut[hh*hd : (hh+1)*hd] {
-					attnOut[hh*hd+j] = 0
-				}
-				if cols == 0 {
+				qh := qs[i*d+hh*hd : i*d+(hh+1)*hd]
+				out := attnOut[hh*hd : (hh+1)*hd]
+				clear(out)
+				if len(cols[i]) == 0 {
 					continue
 				}
-				tensor.Softmax(scores)
-				for sIdx, cIdx := range colIdx {
-					var vvec []float32
-					if cIdx < nc {
-						r := refs[cIdx]
-						vvec = r.page.V[r.slot][l*d : (l+1)*d]
-					} else {
-						vvec = newV[cIdx-nc][l]
-					}
-					w := scores[sIdx]
-					for j := 0; j < hd; j++ {
-						attnOut[hh*hd+j] += w * vvec[hh*hd+j]
+				off := l*d + hh*hd
+				sc := scores[:len(cols[i])]
+				for s, c := range cols[i] {
+					sc[s] = tensor.Dot(qh, colK[c][off:off+hd]) * invSqrt
+				}
+				tensor.Softmax(sc)
+				for s, c := range cols[i] {
+					w, vh := sc[s], colV[c][off:off+hd]
+					for j := range out {
+						out[j] += w * vh[j]
 					}
 				}
 			}
 			tensor.MatVec(lw.wo, d, d, attnOut, proj)
-			tensor.AddInPlace(h[i], proj)
+			tensor.AddInPlace(hi, proj)
 			// MLP (SwiGLU).
-			tensor.RMSNorm(h[i], lw.norm2, xn, 1e-5)
-			tensor.MatVec(lw.w1, m.cfg.FFDim, d, xn, ff1)
-			tensor.MatVec(lw.w3, m.cfg.FFDim, d, xn, ff3)
+			tensor.RMSNorm(hi, lw.norm2, xn, 1e-5)
+			tensor.MatVec(lw.w1, ffDim, d, xn, ff1)
+			tensor.MatVec(lw.w3, ffDim, d, xn, ff3)
 			tensor.SiLU(ff1)
 			for j := range ff1 {
 				ff1[j] *= ff3[j]
 			}
-			tensor.MatVec(lw.w2, d, m.cfg.FFDim, ff1, proj)
-			tensor.AddInPlace(h[i], proj)
+			tensor.MatVec(lw.w2, d, ffDim, ff1, proj)
+			tensor.AddInPlace(hi, proj)
 		}
 	}
 
 	// Persist KV.
 	for i, ref := range dstRefs {
-		for l := 0; l < L; l++ {
-			copy(ref.page.K[ref.slot][l*d:(l+1)*d], newK[i][l])
-			copy(ref.page.V[ref.slot][l*d:(l+1)*d], newV[i][l])
-		}
+		copy(ref.page.K[ref.slot], colK[nc+i])
+		copy(ref.page.V[ref.slot], colV[nc+i])
 		ref.page.Pos[ref.slot] = inputs[i].Pos
 		ref.page.Used[ref.slot] = true
 		ref.page.Masked[ref.slot] = false
@@ -512,13 +498,52 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 	start := n - len(outEmb)
 	for i, slot := range outEmb {
 		out := make([]float32, d)
-		tensor.RMSNorm(h[start+i], m.normF, out, 1e-5)
+		tensor.RMSNorm(h[(start+i)*d:(start+i+1)*d], m.normF, out, 1e-5)
 		copy(slot.Vec, out)
 		slot.Pos = inputs[start+i].Pos
 		slot.Valid = true
 		res.Outputs = append(res.Outputs, out)
 	}
 	return res, nil
+}
+
+// attentionColumns lists, for each input, the attention columns it may
+// read, ascending: context entries are columns 0..len(refs)-1 in gather
+// order, input j is column len(refs)+j. An explicit mask decides; without
+// one an input sees every column at a position no later than its own. The
+// lists depend on neither layer nor head, so Forward builds them once.
+func attentionColumns(refs []kvRef, inputs []*EmbedSlot, mask [][]bool) [][]int32 {
+	nc := len(refs)
+	ends := make([]int, len(inputs))
+	var flat []int32
+	for i, in := range inputs {
+		if mask != nil {
+			for c, ok := range mask[i] {
+				if ok {
+					flat = append(flat, int32(c))
+				}
+			}
+		} else {
+			for c, r := range refs {
+				if r.page.Pos[r.slot] <= in.Pos {
+					flat = append(flat, int32(c))
+				}
+			}
+			for j, other := range inputs {
+				if other.Pos <= in.Pos {
+					flat = append(flat, int32(nc+j))
+				}
+			}
+		}
+		ends[i] = len(flat)
+	}
+	cols := make([][]int32, len(inputs))
+	start := 0
+	for i, end := range ends {
+		cols[i] = flat[start:end:end]
+		start = end
+	}
+	return cols
 }
 
 func applyLoRA(a, b []float32, rank int, scale float32, x, dst, scratch []float32) {
@@ -566,26 +591,26 @@ func (m *Model) NextDist(slot *EmbedSlot) (tokens []int, probs []float32, err er
 // topK returns the ids of the k highest probabilities ordered by
 // probability descending, then id ascending: the first k of a full sort
 // under that order, selected through a k-sized heap in O(n log k).
+//
+// Each candidate is one integer key, ^bits(p)<<32 | id. For p ≥ 0 (softmax
+// outputs, +0 on underflow) the float bits grow with p, so ascending keys
+// give exactly that order.
 func topK(probs []float32, k int) []int {
-	// ahead reports whether id a ranks before id b.
-	ahead := func(a, b int) bool {
-		if probs[a] != probs[b] {
-			return probs[a] > probs[b]
-		}
-		return a < b
+	key := func(id int) uint64 {
+		return uint64(^math.Float32bits(probs[id]))<<32 | uint64(id)
 	}
-	// h is a heap of the best k ids so far, rooted at the lowest ranked.
-	h := make([]int, k)
+	// h is a max-heap of the best k keys so far, rooted at the lowest ranked.
+	h := make([]uint64, k)
 	down := func(p int) {
 		for {
 			c := 2*p + 1
 			if c >= k {
 				return
 			}
-			if c+1 < k && ahead(h[c], h[c+1]) {
+			if c+1 < k && h[c+1] > h[c] {
 				c++
 			}
-			if !ahead(h[p], h[c]) {
+			if h[p] >= h[c] {
 				return
 			}
 			h[p], h[c] = h[c], h[p]
@@ -593,26 +618,21 @@ func topK(probs []float32, k int) []int {
 		}
 	}
 	for i := range h {
-		h[i] = i
+		h[i] = key(i)
 	}
 	for p := k/2 - 1; p >= 0; p-- {
 		down(p)
 	}
 	for i := k; i < len(probs); i++ {
-		// i exceeds every id in h, so it ranks ahead only on probability.
-		if probs[i] > probs[h[0]] {
-			h[0] = i
+		if ki := key(i); ki < h[0] {
+			h[0] = ki
 			down(0)
 		}
 	}
-	slices.SortFunc(h, func(a, b int) int {
-		switch {
-		case a == b:
-			return 0
-		case ahead(a, b):
-			return -1
-		}
-		return 1
-	})
-	return h
+	slices.Sort(h)
+	ids := make([]int, k)
+	for j, kj := range h {
+		ids[j] = int(uint32(kj))
+	}
+	return ids
 }

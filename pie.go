@@ -259,8 +259,6 @@ type Config struct {
 	// ExternalLatency is the default latency of unregistered external
 	// services reached via HTTPGet/HTTPPost (default 50ms).
 	ExternalLatency time.Duration
-	// TopKOverride truncates returned distributions (default: model's 256).
-	TopKOverride int
 	// NoSchedOverhead and NoDistReturnOverhead zero the corresponding
 	// control-layer charges for the Table 3 opportunity-cost ablation.
 	NoSchedOverhead      bool
@@ -418,13 +416,6 @@ func New(cfg Config) *Engine {
 	var models []*model.Model
 	for _, name := range cat.Names() {
 		m, _ := cat.Get(name)
-		if cfg.TopKOverride > 0 {
-			c := m.Config()
-			c.TopK = cfg.TopKOverride
-			m = model.New(c, cat.Tokenizer)
-			m.RegisterAdapter("chat", 4, 0.5, c.Seed^0xA1)
-			m.RegisterAdapter("code", 4, 0.5, c.Seed^0xB2)
-		}
 		models = append(models, m)
 	}
 	sched := core.DefaultSchedConfig()
