@@ -303,7 +303,40 @@ func main() {
 		}()
 	}
 	log.Printf("pie-server listening on %s (%v)", opts.Addr, s.engine)
-	log.Fatal(http.ListenAndServe(opts.Addr, s.mux()))
+	log.Fatal(newHTTPServer(opts.Addr, s.mux(), headerTimeout).ListenAndServe())
+}
+
+// Slow- and hostile-client limits. A client that never finishes its
+// request headers is dropped after headerTimeout; request bodies (launch
+// arguments, sent messages, fleet manifests) are capped at maxBodyBytes
+// and answered 413 beyond it. There is deliberately no write timeout:
+// /v1/stream holds its response open for the life of a run.
+const (
+	headerTimeout = 10 * time.Second
+	idleTimeout   = 2 * time.Minute
+	maxBodyBytes  = 1 << 20
+)
+
+// newHTTPServer wraps h with the connection-level timeouts.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+}
+
+// readBody reads a request body of at most maxBodyBytes. On failure it
+// has already answered: 413 body_too_large past the cap, 400 for an
+// unreadable body.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		return body, true
+	}
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		writeErr(w, http.StatusBadRequest, "invalid_argument", "unreadable body")
+	}
+	return nil, false
 }
 
 // reloadFleet re-reads the boot manifest and applies it to the running
@@ -383,7 +416,10 @@ type launchBody struct {
 
 func (s *server) launch(w http.ResponseWriter, r *http.Request) {
 	program := r.URL.Query().Get("program")
-	body, _ := io.ReadAll(r.Body)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var spec pie.LaunchSpec
 	if program != "" {
 		// Legacy form: the body is the program's single JSON argument.
@@ -506,7 +542,10 @@ func (s *server) send(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, _ := io.ReadAll(r.Body)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	s.inject("http:send", func() { h.Send(string(body)) })
 	writeJSON(w, map[string]string{"status": "sent"})
 }
@@ -706,9 +745,8 @@ func fleetErrStatus(err error) (int, string) {
 func (s *server) fleet(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_argument", "unreadable body")
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		m, err := fleet.Parse(body)

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -922,5 +923,72 @@ func TestBuildConfig(t *testing.T) {
 		if _, err := buildConfig(fs(), bad); err == nil {
 			t.Errorf("buildConfig(%v) accepted malformed flags", bad)
 		}
+	}
+}
+
+// TestOversizedBodyRejected: every endpoint that reads a body caps it at
+// maxBodyBytes and answers 413 body_too_large past the cap, while a body
+// right at the cap is still read.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := startTestServer(t, pie.Config{Seed: 7})
+	post := func(path string, size int) (int, errBody) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(strings.Repeat("x", size)))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var eb errBody
+		blob, _ := io.ReadAll(resp.Body)
+		_ = json.Unmarshal(blob, &eb)
+		return resp.StatusCode, eb
+	}
+	// A live run for /v1/send to address.
+	if status, _ := post("/v1/launch?program=text_completion", 0); status != http.StatusOK {
+		t.Fatalf("launch: status %d", status)
+	}
+	for _, path := range []string{"/v1/launch?program=text_completion", "/v1/launch", "/v1/send?id=1", "/v1/fleet"} {
+		if status, eb := post(path, maxBodyBytes+1); status != http.StatusRequestEntityTooLarge || eb.Error.Code != "body_too_large" {
+			t.Fatalf("%s with %d bytes: status %d code %q, want 413 body_too_large", path, maxBodyBytes+1, status, eb.Error.Code)
+		}
+	}
+	// At the cap the body is read and judged on its content instead.
+	if status, eb := post("/v1/launch", maxBodyBytes); status != http.StatusBadRequest || eb.Error.Code != "invalid_argument" {
+		t.Fatalf("launch with %d bytes: status %d code %q, want 400 invalid_argument", maxBodyBytes, status, eb.Error.Code)
+	}
+}
+
+// TestStalledHeaderDropped: a client that opens a connection and never
+// finishes its request headers is disconnected after the header timeout
+// instead of holding the connection forever, and complete requests on the
+// same server are still served.
+func TestStalledHeaderDropped(t *testing.T) {
+	s := newServer(newEngine(pie.Config{Seed: 7}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer("", s.mux(), 200*time.Millisecond)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/stats HTTP/1.1\r\nHost: pie\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < 150*time.Millisecond {
+		t.Fatalf("connection closed after %v, before the header timeout", waited)
+	}
+	if resp := getJSON(t, "http://"+ln.Addr().String()+"/v1/stats", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats after a stalled client: status %d", resp.StatusCode)
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pie/api"
@@ -141,13 +142,16 @@ func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, onKill func
 
 // ReleaseInstance frees every resource the instance holds: queues are
 // closed (pending calls fail), virtual mappings are dropped, and physical
-// references are released. Idempotent.
+// references are released. Each table is walked in ascending handle
+// order, so the order in which calls fail and physical ids return to the
+// free lists is the same on every same-seed run. Idempotent.
 func (ctl *Controller) ReleaseInstance(inst *Instance) {
 	if inst.dead {
 		return
 	}
 	inst.dead = true
-	for _, q := range inst.queues {
+	for _, qid := range sortedKeys(inst.queues) {
+		q := inst.queues[qid]
 		q.closed = true
 		for _, c := range q.pending {
 			ctl.retireCall(c)
@@ -166,10 +170,12 @@ func (ctl *Controller) ReleaseInstance(inst *Instance) {
 		q.pending = nil
 		ctl.sched.forgetQueue(q)
 	}
-	for _, ref := range inst.vEmbeds {
+	for _, id := range sortedKeys(inst.vEmbeds) {
+		ref := inst.vEmbeds[id]
 		ctl.embPool[ref.model].release(ref.phys)
 	}
-	for _, ref := range inst.vPages {
+	for _, id := range sortedKeys(inst.vPages) {
+		ref := inst.vPages[id]
 		ctl.pagePool[ref.model].release(ref.phys)
 	}
 	inst.vEmbeds = make(map[api.Embed]resRef)
@@ -286,12 +292,7 @@ func (ctl *Controller) AbortAllInstances(reason error) int {
 // a replica dies: its cached context is unrecoverable, and affinity
 // routing must stop finding it here.
 func (ctl *Controller) DropExports() (exports, pages int) {
-	names := make([]string, 0, len(ctl.exports))
-	for name := range ctl.exports {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(ctl.exports) {
 		entry := ctl.exports[name]
 		for _, p := range entry.phys {
 			ctl.pagePool[entry.model].release(p)
@@ -525,18 +526,9 @@ func (ctl *Controller) DeallocEmbeds(inst *Instance, qid api.Queue, ids []api.Em
 	if err != nil {
 		return err
 	}
-	refs := make([]resRef, 0, len(ids))
-	seen := make(map[api.Embed]bool, len(ids))
-	for _, id := range ids {
-		ref, ok := inst.vEmbeds[id]
-		if !ok || seen[id] {
-			return api.ErrBadHandle
-		}
-		seen[id] = true
-		refs = append(refs, ref)
-	}
-	for _, id := range ids {
-		delete(inst.vEmbeds, id) // handle dies now; physical free is deferred
+	refs, ok := unmapHandles(inst.vEmbeds, ids) // handles die now; physical free is deferred
+	if !ok {
+		return api.ErrBadHandle
 	}
 	ctl.enqueue(q, &infer.Call{Op: infer.OpDealloc, ControlFn: func() {
 		for _, ref := range refs {
@@ -554,18 +546,9 @@ func (ctl *Controller) DeallocPages(inst *Instance, qid api.Queue, ids []api.KvP
 	if err != nil {
 		return err
 	}
-	refs := make([]resRef, 0, len(ids))
-	seen := make(map[api.KvPage]bool, len(ids))
-	for _, id := range ids {
-		ref, ok := inst.vPages[id]
-		if !ok || seen[id] {
-			return api.ErrBadHandle
-		}
-		seen[id] = true
-		refs = append(refs, ref)
-	}
-	for _, id := range ids {
-		delete(inst.vPages, id)
+	refs, ok := unmapHandles(inst.vPages, ids)
+	if !ok {
+		return api.ErrBadHandle
 	}
 	ctl.enqueue(q, &infer.Call{Op: infer.OpDealloc, ControlFn: func() {
 		for _, ref := range refs {
@@ -573,6 +556,26 @@ func (ctl *Controller) DeallocPages(inst *Instance, qid api.Queue, ids []api.KvP
 		}
 	}})
 	return nil
+}
+
+// unmapHandles removes every handle in ids from an instance's virtual
+// table and returns their physical references in order. All or nothing:
+// an unknown or repeated handle (a repeat is gone by its second mention)
+// restores what the call removed and reports false.
+func unmapHandles[H comparable](table map[H]resRef, ids []H) ([]resRef, bool) {
+	refs := make([]resRef, 0, len(ids))
+	for _, id := range ids {
+		ref, ok := table[id]
+		if !ok {
+			for j, r := range refs {
+				table[ids[j]] = r
+			}
+			return nil, false
+		}
+		delete(table, id)
+		refs = append(refs, ref)
+	}
+	return refs, true
 }
 
 // --- Export / import ------------------------------------------------------
@@ -652,16 +655,17 @@ func (ctl *Controller) ReleaseExport(inst *Instance, name string) error {
 
 // --- Inference-layer calls -------------------------------------------------
 
-func (ctl *Controller) resolvePages(inst *Instance, q *cmdQueue, ids []api.KvPage) ([]*model.KvPage, []int32, error) {
+// resolvePages maps page handles to their physical pages on q's model,
+// appending the physical ids to phys.
+func (ctl *Controller) resolvePages(inst *Instance, q *cmdQueue, ids []api.KvPage, phys []int32) ([]*model.KvPage, []int32, error) {
 	out := make([]*model.KvPage, len(ids))
-	phys := make([]int32, len(ids))
 	for i, id := range ids {
 		ref, ok := inst.vPages[id]
 		if !ok || ref.model != q.model {
 			return nil, nil, api.ErrBadHandle
 		}
 		out[i] = q.rt.Page(ref.phys)
-		phys[i] = ref.phys
+		phys = append(phys, ref.phys)
 	}
 	return out, phys, nil
 }
@@ -701,21 +705,13 @@ func (ctl *Controller) preparePages(q *cmdQueue, c *infer.Call, phys []int32) er
 	if len(phys) == 0 {
 		return nil
 	}
-	uniq := make([]int32, 0, len(phys))
-	seen := make(map[int32]bool, len(phys))
-	for _, id := range phys {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
 	p := ctl.pagePool[q.model]
-	var pins []infer.PagePin
+	pins := make([]infer.PagePin, 0, len(phys))
 	unpinAll := func() {
 		for _, pp := range pins {
 			p.unpin(pp.Page, pp.Gen)
 		}
-		pins = nil
+		pins = pins[:0]
 	}
 	handedOver := false
 	defer func() {
@@ -724,14 +720,8 @@ func (ctl *Controller) preparePages(q *cmdQueue, c *infer.Call, phys []int32) er
 		}
 	}()
 	for attempt := 0; ; attempt++ {
-		pins = make([]infer.PagePin, 0, len(uniq))
-		for _, id := range uniq {
-			if gen, ok := p.pin(id); ok {
-				pins = append(pins, infer.PagePin{Page: id, Gen: gen})
-			}
-			p.touch(id)
-		}
-		in, out, ok := p.faultIn(uniq)
+		pins = p.pinTouch(phys, pins)
+		in, out, ok := p.faultIn(phys)
 		if ok {
 			ctl.chargeSwap(q.rt, in+out) // may be interrupted by a kill; see defer
 			c.PinnedPages = pins
@@ -856,11 +846,12 @@ func (ctl *Controller) buildForward(inst *Instance, qid api.Queue, args api.Forw
 	if err != nil {
 		return nil, nil, err
 	}
-	ctxPages, ctxPhys, err := ctl.resolvePages(inst, q, args.InputKv)
+	phys := make([]int32, 0, len(args.InputKv)+len(args.OutputKv))
+	ctxPages, phys, err := ctl.resolvePages(inst, q, args.InputKv, phys)
 	if err != nil {
 		return nil, nil, err
 	}
-	outPages, outPhys, err := ctl.resolvePages(inst, q, args.OutputKv)
+	outPages, phys, err := ctl.resolvePages(inst, q, args.OutputKv, phys)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -883,7 +874,7 @@ func (ctl *Controller) buildForward(inst *Instance, qid api.Queue, args api.Forw
 	c.Outputs = outputs
 	c.Mask = args.Mask
 	c.Adapter = args.Adapter
-	if err := ctl.preparePages(q, c, append(ctxPhys, outPhys...)); err != nil {
+	if err := ctl.preparePages(q, c, phys); err != nil {
 		return nil, nil, err
 	}
 	return c, q, nil
@@ -923,7 +914,7 @@ func (ctl *Controller) CopyKv(inst *Instance, qid api.Queue, src, dst api.KvPage
 	if err != nil {
 		return nil, err
 	}
-	pages, phys, err := ctl.resolvePages(inst, q, []api.KvPage{src, dst})
+	pages, phys, err := ctl.resolvePages(inst, q, []api.KvPage{src, dst}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -944,7 +935,7 @@ func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bi
 	if err != nil {
 		return nil, err
 	}
-	pages, phys, err := ctl.resolvePages(inst, q, []api.KvPage{page})
+	pages, phys, err := ctl.resolvePages(inst, q, []api.KvPage{page}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1128,10 +1119,7 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 	for _, c := range b.Calls {
 		ctl.retireCall(c)
 		ctl.unpinCall(c)
-		q := ctl.sched.queueOf(c)
-		if q != nil {
-			q.inflight--
-		}
+		c.Owner.(*cmdQueue).inflight--
 	}
 	if (ctl.latencyFn != nil || ctl.firstTokFn != nil) && b.Op == infer.OpForward {
 		// Feed the SLO tracker: an instance's first completed forward is
@@ -1142,8 +1130,8 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 		// prefill-replica sessions ready for KV handoff.
 		now := ctl.clock.Now()
 		for _, c := range b.Calls {
-			inst := ctl.instances[c.Inst]
-			if inst == nil {
+			inst := c.Owner.(*cmdQueue).inst
+			if inst.dead {
 				continue
 			}
 			if !inst.sawFirstTok {
@@ -1160,15 +1148,19 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 			inst.lastTokenAt = now
 		}
 	}
-	seen := map[*cmdQueue]bool{}
+	// Re-index each queue once, in order of first appearance, now that its
+	// ordering released: this drains queue-ordered control ops and returns
+	// the queue to its ready bucket if the next call is dispatchable. A
+	// queue's calls sit contiguously in the batch (dispatchOne takes each
+	// queue's head run in one go), so comparing with the previous call's
+	// queue is a complete dedup (and refresh is idempotent, so the check
+	// only saves work).
+	var prev *cmdQueue
 	for _, c := range b.Calls {
-		q := ctl.sched.queueOf(c)
-		ctl.sched.forgetCall(c)
-		if q != nil && !seen[q] {
-			seen[q] = true
-			// Re-index the queue now that its ordering released: this
-			// drains queue-ordered control ops and returns the queue to
-			// its ready bucket if the next call is dispatchable.
+		q := c.Owner.(*cmdQueue)
+		c.Owner = nil
+		if q != prev {
+			prev = q
 			ctl.sched.refresh(q)
 		}
 	}
@@ -1250,13 +1242,8 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 	if dst == nil || dst == ctl {
 		return 0, 0
 	}
-	names := make([]string, 0, len(ctl.exports))
-	for name := range ctl.exports {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	moved := make(map[string]map[int32]int32) // model -> src phys -> dst phys
-	for _, name := range names {
+	for _, name := range sortedKeys(ctl.exports) {
 		entry := ctl.exports[name]
 		if _, taken := dst.exports[name]; taken {
 			continue
@@ -1290,7 +1277,7 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 			} else {
 				id := ids[next]
 				next++
-				copyPage(srcRT.Page(src), dstRT.Page(id))
+				dstRT.Page(id).CopyFrom(srcRT.Page(src))
 				mm[src] = id
 				dstPhys[i] = id
 				pages++
@@ -1369,21 +1356,9 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instanc
 	}
 
 	// Sorted handle views: same-seed runs must copy in identical order.
-	pageIDs := make([]api.KvPage, 0, len(inst.vPages))
-	for id := range inst.vPages {
-		pageIDs = append(pageIDs, id)
-	}
-	sort.Slice(pageIDs, func(i, j int) bool { return pageIDs[i] < pageIDs[j] })
-	embedIDs := make([]api.Embed, 0, len(inst.vEmbeds))
-	for id := range inst.vEmbeds {
-		embedIDs = append(embedIDs, id)
-	}
-	sort.Slice(embedIDs, func(i, j int) bool { return embedIDs[i] < embedIDs[j] })
-	queueIDs := make([]api.Queue, 0, len(inst.queues))
-	for id := range inst.queues {
-		queueIDs = append(queueIDs, id)
-	}
-	sort.Slice(queueIDs, func(i, j int) bool { return queueIDs[i] < queueIDs[j] })
+	pageIDs := sortedKeys(inst.vPages)
+	embedIDs := sortedKeys(inst.vEmbeds)
+	queueIDs := sortedKeys(inst.queues)
 
 	// Every model the session touches must exist on dst; count distinct
 	// physical pages (import sharing maps one page under several handles)
@@ -1498,7 +1473,7 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instanc
 			nextPage[ref.model]++
 			movedTo[ref] = dstPhys
 			srcRT, dstRT := ctl.models[ref.model], dst.models[ref.model]
-			copyPage(srcRT.Page(ref.phys), dstRT.Page(dstPhys))
+			dstRT.Page(dstPhys).CopyFrom(srcRT.Page(ref.phys))
 			pages++
 			crossings := 2
 			if tier, ok := ctl.pagePool[ref.model].resident(ref.phys); ok && tier == tierHost {
@@ -1535,20 +1510,6 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instanc
 	return ni, pages, cost, nil
 }
 
-// copyPage deep-copies one physical page's occupancy metadata and (in
-// full mode) its KV vectors.
-func copyPage(src, dst *model.KvPage) {
-	for s := range src.Used {
-		dst.Used[s] = src.Used[s]
-		dst.Masked[s] = src.Masked[s]
-		dst.Pos[s] = src.Pos[s]
-		if len(src.K[s]) > 0 {
-			dst.K[s] = append(dst.K[s][:0], src.K[s]...)
-			dst.V[s] = append(dst.V[s][:0], src.V[s]...)
-		}
-	}
-}
-
 // copyEmbed deep-copies one embedding slot's vector and metadata.
 func copyEmbed(src, dst *model.EmbedSlot) {
 	dst.Vec = append(dst.Vec[:0], src.Vec...)
@@ -1561,10 +1522,17 @@ func (ctl *Controller) ModelRuntime(name string) *infer.ModelRuntime { return ct
 
 // SortedInstanceIDs aids deterministic test assertions.
 func (ctl *Controller) SortedInstanceIDs() []uint64 {
-	ids := make([]uint64, 0, len(ctl.instances))
-	for id := range ctl.instances {
-		ids = append(ids, id)
+	return sortedKeys(ctl.instances)
+}
+
+// sortedKeys returns a map's keys in ascending order. The controller's
+// walks over maps whose order reaches behaviour (which call fails first,
+// which id is freed first) go through it, never through map order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(keys)
+	return keys
 }

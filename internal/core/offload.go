@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"pie/internal/infer"
 )
 
 // Tiered KV-cache pool. The device pool (§5.3) gains a second, host-memory
@@ -120,12 +122,14 @@ func evictorFor(p EvictionPolicy) Evictor {
 
 // pageMeta tracks one materialized physical page id.
 type pageMeta struct {
-	refs    int
+	live    bool // allocated (not on the free list)
 	tier    pageTier
+	refs    int
 	gen     uint64 // allocation generation: stale unpins from recycled ids are ignored
 	lastUse uint64 // recency stamp (pool-wide monotone counter)
 	pri     int    // allocating queue's scheduler priority
 	pins    int    // referencing calls in flight or queued; pinned pages never offload
+	mark    uint64 // dedup epoch: equal to the pool's epoch once seen in the current pass
 }
 
 // tieredPool allocates physical KV page ids across a device tier and an
@@ -133,18 +137,23 @@ type pageMeta struct {
 // are about to be written); when device slots run out, cold unpinned
 // pages offload to the host tier. Refcounts (export/import sharing) and
 // the free list span both tiers.
+//
+// Ids are dense by construction (a high-water mark plus a free list), so
+// page metadata lives in a table indexed by id: every per-call lookup is
+// an index, and a pass over a call's pages dedups repeated mentions by
+// stamping each entry with a fresh epoch instead of building a set.
 type tieredPool struct {
 	devCap  int
 	hostCap int
-	next    int32   // high-water mark of materialized ids
-	free    []int32 // released ids available for reuse
-	meta    map[int32]*pageMeta
+	meta    []pageMeta // indexed by id; len is the high-water mark of materialized ids
+	free    []int32    // released ids available for reuse
 	evict   Evictor
 
 	devInUse  int
 	hostInUse int
 	useSeq    uint64
 	genSeq    uint64
+	epoch     uint64
 
 	// Swap traffic counters (OffloadStats).
 	swapIn    int
@@ -156,7 +165,7 @@ func newTieredPool(devCap, hostCap int, evict Evictor) *tieredPool {
 	if evict == nil {
 		evict = lruEvictor{}
 	}
-	return &tieredPool{devCap: devCap, hostCap: hostCap, evict: evict, meta: make(map[int32]*pageMeta)}
+	return &tieredPool{devCap: devCap, hostCap: hostCap, evict: evict}
 }
 
 // capacity is the pool's total page capacity across both tiers.
@@ -170,9 +179,17 @@ func (p *tieredPool) inUse() int { return p.devInUse + p.hostInUse }
 // re-checks that enough device room can actually be cleared.
 func (p *tieredPool) available() int { return p.capacity() - p.inUse() }
 
+// lookup returns a live page's metadata, or nil for free or unknown ids.
+func (p *tieredPool) lookup(id int32) *pageMeta {
+	if id < 0 || int(id) >= len(p.meta) || !p.meta[id].live {
+		return nil
+	}
+	return &p.meta[id]
+}
+
 // touch stamps a page most-recently-used.
 func (p *tieredPool) touch(id int32) {
-	if m, ok := p.meta[id]; ok {
+	if m := p.lookup(id); m != nil {
 		p.useSeq++
 		m.lastUse = p.useSeq
 	}
@@ -185,8 +202,8 @@ func (p *tieredPool) touch(id int32) {
 // in-flight call still holds a pin record, and a stale unpin must never
 // touch the new owner's count.
 func (p *tieredPool) pin(id int32) (gen uint64, ok bool) {
-	m, ok := p.meta[id]
-	if !ok {
+	m := p.lookup(id)
+	if m == nil {
 		return 0, false
 	}
 	m.pins++
@@ -196,9 +213,28 @@ func (p *tieredPool) pin(id int32) (gen uint64, ok bool) {
 // unpin releases one pin taken at generation gen; stale generations are
 // ignored (see pin).
 func (p *tieredPool) unpin(id int32, gen uint64) {
-	if m, ok := p.meta[id]; ok && m.gen == gen && m.pins > 0 {
+	if m := p.lookup(id); m != nil && m.gen == gen && m.pins > 0 {
 		m.pins--
 	}
+}
+
+// pinTouch pins and stamps most-recently-used each distinct live id in
+// ids, in order of first mention, appending the pins to dst. Repeated
+// mentions (ReadKv and AppendKv commonly name the same pages) pin and
+// touch once; free ids are skipped.
+func (p *tieredPool) pinTouch(ids []int32, dst []infer.PagePin) []infer.PagePin {
+	p.epoch++
+	for _, id := range ids {
+		m := p.lookup(id)
+		if m == nil || m.mark == p.epoch {
+			continue
+		}
+		m.mark = p.epoch
+		gen, _ := p.pin(id)
+		p.touch(id)
+		dst = append(dst, infer.PagePin{Page: id, Gen: gen})
+	}
+	return dst
 }
 
 // victims picks up to k offload candidates — device-resident, unpinned —
@@ -209,16 +245,16 @@ func (p *tieredPool) victims(k int) []int32 {
 		return nil
 	}
 	cands := make([]int32, 0, p.devInUse)
-	for id := int32(0); id < p.next; id++ {
-		if m, ok := p.meta[id]; ok && m.tier == tierDevice && m.pins == 0 {
-			cands = append(cands, id)
+	for id := range p.meta {
+		if m := &p.meta[id]; m.live && m.tier == tierDevice && m.pins == 0 {
+			cands = append(cands, int32(id))
 		}
 	}
 	// Selection sort of the k best: k is small (pages needed by one call).
 	for i := 0; i < k && i < len(cands); i++ {
 		best := i
 		for j := i + 1; j < len(cands); j++ {
-			a, b := p.meta[cands[j]], p.meta[cands[best]]
+			a, b := &p.meta[cands[j]], &p.meta[cands[best]]
 			if p.evict.Prefer(a, b) || (!p.evict.Prefer(b, a) && cands[j] < cands[best]) {
 				best = j
 			}
@@ -257,8 +293,7 @@ func (p *tieredPool) makeDeviceRoom(n int) (swapped int, ok bool) {
 // updating tier counters and swap stats.
 func (p *tieredPool) offload(ids []int32) {
 	for _, id := range ids {
-		m := p.meta[id]
-		m.tier = tierHost
+		p.meta[id].tier = tierHost
 		p.devInUse--
 		p.hostInUse++
 		p.swapOut++
@@ -285,13 +320,13 @@ func (p *tieredPool) alloc(n, pri int) (ids []int32, swappedOut int, ok bool) {
 		ids = append(ids, id)
 	}
 	for len(ids) < n {
-		ids = append(ids, p.next)
-		p.next++
+		ids = append(ids, int32(len(p.meta)))
+		p.meta = append(p.meta, pageMeta{})
 	}
 	for _, id := range ids {
 		p.useSeq++
 		p.genSeq++
-		p.meta[id] = &pageMeta{refs: 1, tier: tierDevice, gen: p.genSeq, lastUse: p.useSeq, pri: pri}
+		p.meta[id] = pageMeta{live: true, refs: 1, tier: tierDevice, gen: p.genSeq, lastUse: p.useSeq, pri: pri}
 	}
 	p.devInUse += n
 	if p.inUse() > p.peakInUse {
@@ -308,14 +343,13 @@ func (p *tieredPool) alloc(n, pri int) (ids []int32, swappedOut int, ok bool) {
 // room-making never victimizes the faulting set.
 func (p *tieredPool) faultIn(ids []int32) (in, out int, ok bool) {
 	need := 0
-	seen := make(map[int32]bool, len(ids))
+	p.epoch++
 	for _, id := range ids {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if m, okm := p.meta[id]; okm && m.tier == tierHost {
-			need++
+		if m := p.lookup(id); m != nil && m.mark != p.epoch {
+			m.mark = p.epoch
+			if m.tier == tierHost {
+				need++
+			}
 		}
 	}
 	if need == 0 {
@@ -332,7 +366,7 @@ func (p *tieredPool) faultIn(ids []int32) (in, out int, ok bool) {
 		out = evict
 	}
 	for _, id := range ids {
-		if m, okm := p.meta[id]; okm && m.tier == tierHost {
+		if m := p.lookup(id); m != nil && m.tier == tierHost {
 			m.tier = tierDevice
 			p.hostInUse--
 			p.devInUse++
@@ -347,7 +381,7 @@ func (p *tieredPool) faultIn(ids []int32) (in, out int, ok bool) {
 
 // retain bumps an id's refcount (export/import sharing).
 func (p *tieredPool) retain(id int32) {
-	if m, ok := p.meta[id]; ok {
+	if m := p.lookup(id); m != nil {
 		m.refs++
 	}
 }
@@ -355,8 +389,8 @@ func (p *tieredPool) retain(id int32) {
 // release drops one reference; the id returns to the free list at zero.
 // It reports whether the id was actually freed.
 func (p *tieredPool) release(id int32) bool {
-	m, ok := p.meta[id]
-	if !ok {
+	m := p.lookup(id)
+	if m == nil {
 		return false
 	}
 	if m.refs > 1 {
@@ -368,15 +402,15 @@ func (p *tieredPool) release(id int32) bool {
 	} else {
 		p.hostInUse--
 	}
-	delete(p.meta, id)
+	*m = pageMeta{}
 	p.free = append(p.free, id)
 	return true
 }
 
 // resident reports the page's tier; ok=false for unknown/free ids.
 func (p *tieredPool) resident(id int32) (pageTier, bool) {
-	m, ok := p.meta[id]
-	if !ok {
+	m := p.lookup(id)
+	if m == nil {
 		return 0, false
 	}
 	return m.tier, true

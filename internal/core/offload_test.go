@@ -7,13 +7,11 @@ import (
 
 // checkTieredInvariants asserts the structural invariants every operation
 // must preserve: tier counts sum to the pool total, neither tier exceeds
-// its capacity, the meta table matches the counters, and no live id is
-// also on the free list.
+// its capacity, the meta table matches the counters, every materialized
+// id is either live or on the free list (exactly once), and free entries
+// carry no stale state.
 func checkTieredInvariants(t *testing.T, p *tieredPool) {
 	t.Helper()
-	if p.devInUse+p.hostInUse != len(p.meta) {
-		t.Fatalf("tier counts %d+%d do not sum to %d live pages", p.devInUse, p.hostInUse, len(p.meta))
-	}
 	if p.devInUse > p.devCap {
 		t.Fatalf("device tier overcommitted: %d > %d", p.devInUse, p.devCap)
 	}
@@ -21,7 +19,14 @@ func checkTieredInvariants(t *testing.T, p *tieredPool) {
 		t.Fatalf("host tier overcommitted: %d > %d", p.hostInUse, p.hostCap)
 	}
 	dev, host := 0, 0
-	for id, m := range p.meta {
+	for id := range p.meta {
+		m := &p.meta[id]
+		if !m.live {
+			if m.refs != 0 || m.pins != 0 {
+				t.Fatalf("free page %d has refs %d, pins %d", id, m.refs, m.pins)
+			}
+			continue
+		}
 		if m.refs <= 0 {
 			t.Fatalf("live page %d has refs %d", id, m.refs)
 		}
@@ -34,10 +39,18 @@ func checkTieredInvariants(t *testing.T, p *tieredPool) {
 	if dev != p.devInUse || host != p.hostInUse {
 		t.Fatalf("meta tiers %d/%d disagree with counters %d/%d", dev, host, p.devInUse, p.hostInUse)
 	}
+	onFree := make([]bool, len(p.meta))
 	for _, id := range p.free {
-		if _, live := p.meta[id]; live {
+		if p.lookup(id) != nil {
 			t.Fatalf("page %d is live and on the free list", id)
 		}
+		if onFree[id] {
+			t.Fatalf("page %d is on the free list twice", id)
+		}
+		onFree[id] = true
+	}
+	if dev+host+len(p.free) != len(p.meta) {
+		t.Fatalf("%d live + %d free != %d materialized ids", dev+host, len(p.free), len(p.meta))
 	}
 	if p.inUse()+p.available() != p.capacity() {
 		t.Fatalf("inUse %d + available %d != capacity %d", p.inUse(), p.available(), p.capacity())
@@ -101,7 +114,7 @@ func TestTieredPoolRandomOps(t *testing.T) {
 							pinned[id]++
 						}
 					} else if pinned[id] > 0 {
-						p.unpin(id, p.meta[id].gen)
+						p.unpin(id, p.lookup(id).gen)
 						pinned[id]--
 						if pinned[id] == 0 {
 							delete(pinned, id)
@@ -128,13 +141,13 @@ func TestTieredPoolRandomOps(t *testing.T) {
 				}
 				if _, _, ok := p.faultIn(ids); ok {
 					for _, id := range ids {
-						if m := p.meta[id]; m != nil && m.tier != tierDevice {
+						if m := p.lookup(id); m != nil && m.tier != tierDevice {
 							t.Fatalf("seed %d step %d: faulted page %d not device-resident", seed, step, id)
 						}
 					}
 				}
 				for _, id := range ids {
-					p.unpin(id, p.meta[id].gen)
+					p.unpin(id, p.lookup(id).gen)
 					pinned[id]--
 					if pinned[id] <= 0 {
 						delete(pinned, id)
@@ -142,9 +155,9 @@ func TestTieredPoolRandomOps(t *testing.T) {
 				}
 			}
 			checkTieredInvariants(t, p)
-			for id, m := range p.meta {
-				if live[id] != m.refs {
-					t.Fatalf("seed %d step %d: id %d refs %d, expected %d", seed, step, id, m.refs, live[id])
+			for id := range p.meta {
+				if m := &p.meta[id]; m.live && live[int32(id)] != m.refs {
+					t.Fatalf("seed %d step %d: id %d refs %d, expected %d", seed, step, id, m.refs, live[int32(id)])
 				}
 			}
 		}
@@ -292,8 +305,8 @@ func TestTieredPoolStaleUnpinIgnored(t *testing.T) {
 		t.Fatal("recycled id kept its old generation")
 	}
 	p.unpin(a[0], staleGen) // the late unpin from the dead call
-	if p.meta[b[0]].pins != 1 {
-		t.Fatalf("stale unpin disturbed the new owner: pins = %d, want 1", p.meta[b[0]].pins)
+	if p.lookup(b[0]).pins != 1 {
+		t.Fatalf("stale unpin disturbed the new owner: pins = %d, want 1", p.lookup(b[0]).pins)
 	}
 	// And the new owner stays offload-safe.
 	if _, _, ok := p.alloc(2, 0); ok {

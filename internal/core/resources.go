@@ -16,26 +16,25 @@ import (
 // pool tracks allocation state for one physical resource array. The memory
 // itself lives in the inference layer (infer.ModelRuntime); the control
 // layer owns the free list and reference counts — exactly the split §5.3
-// prescribes. KvPages are refcounted because export/import lets several
-// inferlets share one physical page.
+// prescribes. Ids are dense (a high-water mark plus a free list), so the
+// refcounts are a table indexed by id, 0 meaning free.
 type pool struct {
 	capacity int
-	next     int32   // high-water mark of materialized ids
+	refs     []int32 // indexed by id; len is the high-water mark of materialized ids
 	free     []int32 // released ids available for reuse
-	refs     map[int32]int
 }
 
 func newPool(capacity int) *pool {
-	return &pool{capacity: capacity, refs: make(map[int32]int)}
+	return &pool{capacity: capacity}
 }
 
 // available reports how many ids can be handed out right now.
 func (p *pool) available() int {
-	return len(p.free) + (p.capacity - int(p.next))
+	return len(p.free) + (p.capacity - len(p.refs))
 }
 
 // inUse reports the number of live ids.
-func (p *pool) inUse() int { return int(p.next) - len(p.free) }
+func (p *pool) inUse() int { return len(p.refs) - len(p.free) }
 
 // alloc hands out n ids with refcount 1, or reports failure leaving the
 // pool untouched.
@@ -48,34 +47,38 @@ func (p *pool) alloc(n int) ([]int32, bool) {
 		id := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
 		ids = append(ids, id)
+		p.refs[id] = 1
 	}
 	for len(ids) < n {
-		ids = append(ids, p.next)
-		p.next++
-	}
-	for _, id := range ids {
-		p.refs[id] = 1
+		ids = append(ids, int32(len(p.refs)))
+		p.refs = append(p.refs, 1)
 	}
 	return ids, true
 }
 
-// retain bumps an id's refcount (export/import sharing).
-func (p *pool) retain(id int32) { p.refs[id]++ }
+// retain bumps a live id's refcount (export/import sharing).
+func (p *pool) retain(id int32) {
+	if p.live(id) {
+		p.refs[id]++
+	}
+}
 
 // release drops one reference; the id returns to the free list at zero.
 // It reports whether the id was actually freed.
 func (p *pool) release(id int32) bool {
-	r, ok := p.refs[id]
-	if !ok {
+	if !p.live(id) {
 		return false
 	}
-	if r > 1 {
-		p.refs[id] = r - 1
+	p.refs[id]--
+	if p.refs[id] > 0 {
 		return false
 	}
-	delete(p.refs, id)
 	p.free = append(p.free, id)
 	return true
+}
+
+func (p *pool) live(id int32) bool {
+	return id >= 0 && int(id) < len(p.refs) && p.refs[id] > 0
 }
 
 // resRef locates a physical resource: which model's pool, which index.

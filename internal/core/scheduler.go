@@ -113,7 +113,6 @@ type Scheduler struct {
 
 	buckets   map[bucketKey]*readyBucket
 	bucketSeq uint64
-	callQ     map[*infer.Call]*cmdQueue
 
 	// readyCalls is the number of pending calls on currently-eligible
 	// queues, maintained incrementally so the K-only policy never rescans
@@ -152,7 +151,6 @@ func newScheduler(clock *sim.Clock, ctl *Controller, cfg SchedConfig) *Scheduler
 		ctl:     ctl,
 		cfg:     cfg,
 		buckets: make(map[bucketKey]*readyBucket),
-		callQ:   make(map[*infer.Call]*cmdQueue),
 	}
 	switch cfg.Policy {
 	case PolicyTOnly:
@@ -360,7 +358,7 @@ func (s *Scheduler) dispatchOne() bool {
 			}
 			q.pop()
 			q.inflight++
-			s.callQ[h] = q
+			h.Owner = q
 			batch.Calls = append(batch.Calls, h)
 		}
 	}
@@ -412,12 +410,6 @@ func sortQueues(qs []*cmdQueue) {
 		}
 	}
 }
-
-// queueOf maps an in-flight call back to its queue.
-func (s *Scheduler) queueOf(c *infer.Call) *cmdQueue { return s.callQ[c] }
-
-// forgetCall drops completion bookkeeping.
-func (s *Scheduler) forgetCall(c *infer.Call) { delete(s.callQ, c) }
 
 // forgetQueue removes a closed queue from scheduling.
 func (s *Scheduler) forgetQueue(q *cmdQueue) {

@@ -97,7 +97,7 @@ func TestTimingForwardBookkeeping(t *testing.T) {
 	if probe.CtxTokens() != 5 {
 		t.Fatalf("CtxTokens = %d, want 5", probe.CtxTokens())
 	}
-	page.Masked[1] = true
+	page.SetSlot(1, true, true)
 	if probe.CtxTokens() != 4 {
 		t.Fatalf("CtxTokens after mask = %d, want 4", probe.CtxTokens())
 	}
@@ -194,5 +194,90 @@ func TestOpControlSide(t *testing.T) {
 	}
 	if OpForward.String() != "forward" || OpNextDist.String() != "get_next_dist" {
 		t.Fatal("op names wrong")
+	}
+}
+
+// TestAttendedCountMatchesRecount drives random sequences of forwards,
+// masks, token copies, resets and whole-page migration copies through
+// both execution modes and checks, after every step, that each page's
+// attended count (what CtxTokens sums) equals a full recount of its used,
+// unmasked slots.
+func TestAttendedCountMatchesRecount(t *testing.T) {
+	recount := func(p *model.KvPage) int {
+		n := 0
+		for s, u := range p.Used {
+			if u && !p.Masked[s] {
+				n++
+			}
+		}
+		return n
+	}
+	for _, mode := range []ExecMode{ExecTiming, ExecFull} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			rt := testRuntime(mode)
+			rng := sim.NewRNG(seed)
+			ps := rt.Model.Config().PageSize
+			pages := make([]*model.KvPage, 5)
+			for i := range pages {
+				pages[i] = rt.Page(int32(i))
+			}
+			pick := func() *model.KvPage { return pages[rng.Intn(len(pages))] }
+			pos, forwards := 0, 0
+			for step := 0; step < 150; step++ {
+				var err error
+				op := rng.Intn(6)
+				switch op {
+				case 0, 1: // forward: read some pages, append into others
+					n := 1 + rng.Intn(4)
+					ins := make([]*model.EmbedSlot, n)
+					ids, positions := make([]int, n), make([]int, n)
+					for i := range ins {
+						ins[i] = rt.Embed(int32(i))
+						ids[i], positions[i] = 4+rng.Intn(rt.Model.VocabSize()-4), pos
+						pos++
+					}
+					if mode == ExecFull {
+						err = rt.Model.EmbedTokens(ids, positions, ins)
+					} else {
+						for i, in := range ins {
+							in.Valid, in.Pos = true, positions[i]
+						}
+					}
+					if err == nil {
+						c := &Call{Op: OpForward, Model: rt, Inputs: ins,
+							CtxPages: []*model.KvPage{pick(), pick()}, OutPages: []*model.KvPage{pick(), pick()}}
+						err = rt.executeCall(c) // overfull output pages fail before writing
+					}
+					if err == nil {
+						forwards++
+					}
+				case 2: // mask_kvpage
+					bits := make([]bool, rng.Intn(ps+1))
+					for i := range bits {
+						bits[i] = rng.Intn(2) == 0
+					}
+					err = rt.executeCall(&Call{Op: OpMaskKv, Model: rt, MaskPage: pick(), MaskBits: bits})
+				case 3: // copy_kvpage
+					n := rng.Intn(ps + 1)
+					err = rt.executeCall(&Call{Op: OpCopyKv, Model: rt, SrcPage: pick(), DstPage: pick(),
+						SrcOff: rng.Intn(ps - n + 1), DstOff: rng.Intn(ps - n + 1), NumTokens: n})
+				case 4: // a fresh owner
+					pick().Reset()
+				case 5: // migration copy
+					pick().CopyFrom(pick())
+				}
+				if err != nil && op != 0 && op != 1 {
+					t.Fatalf("mode %d seed %d step %d: op %d: %v", mode, seed, step, op, err)
+				}
+				for i, p := range pages {
+					if got, want := p.Attended(), recount(p); got != want {
+						t.Fatalf("mode %d seed %d step %d: page %d attended %d, recount %d", mode, seed, step, i, got, want)
+					}
+				}
+			}
+			if forwards < 20 {
+				t.Fatalf("mode %d seed %d: only %d forwards wrote KV", mode, seed, forwards)
+			}
+		}
 	}
 }

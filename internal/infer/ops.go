@@ -123,6 +123,10 @@ type Call struct {
 	// from enqueue until completion (or queue teardown) so the offload
 	// policy never evicts a page a dispatched kernel addresses.
 	PinnedPages []PagePin
+	// Owner is the control layer's handle on the command queue that
+	// dispatched the call, read back at batch completion; the inference
+	// layer never inspects it.
+	Owner any
 
 	// Done resolves when the call completes (or fails).
 	Done *sim.Signal
@@ -167,11 +171,7 @@ func (c *Call) CtxTokens() int {
 	}
 	n := 0
 	for _, p := range c.CtxPages {
-		for s, u := range p.Used {
-			if u && !p.Masked[s] {
-				n++
-			}
-		}
+		n += p.Attended()
 	}
 	return n
 }

@@ -236,8 +236,7 @@ func timingForward(c *Call, inputs []*model.EmbedSlot) error {
 					break
 				}
 				if !p.Used[s] {
-					p.Used[s] = true
-					p.Masked[s] = false
+					p.SetSlot(s, true, false)
 					p.Pos[s] = inputs[i].Pos
 					i++
 				}
@@ -304,8 +303,9 @@ func (rt *ModelRuntime) execMaskKv(c *Call) error {
 	if len(c.MaskBits) > len(c.MaskPage.Masked) {
 		return fmt.Errorf("infer: mask has %d bits for a %d-token page", len(c.MaskBits), len(c.MaskPage.Masked))
 	}
+	p := c.MaskPage
 	for i, m := range c.MaskBits {
-		c.MaskPage.Masked[i] = m
+		p.SetSlot(i, p.Used[i], m)
 	}
 	return nil
 }

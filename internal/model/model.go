@@ -182,11 +182,18 @@ func (m *Model) NewEmbedSlot() *EmbedSlot {
 // KvPage is one physical KV-cache page: per-slot, per-layer key/value
 // vectors plus position, occupancy, and token-level mask bits
 // (mask_kvpage). Keys are stored post-RoPE, keyed by absolute position.
+//
+// Used and Masked are read freely but written only through SetSlot (or
+// Reset), which keeps the page's attended-slot count current: batch
+// pricing reads Attended once per context page instead of rescanning
+// every slot of every page at each dispatch.
 type KvPage struct {
 	K, V   [][]float32 // [slot][layers*dim]
 	Pos    []int
 	Used   []bool
 	Masked []bool
+
+	attended int // slots that are used and not masked
 }
 
 // NewKvPage allocates an empty page for this model.
@@ -207,10 +214,39 @@ func (m *Model) NewKvPage() *KvPage {
 
 // Reset clears a page for reuse by a new owner.
 func (p *KvPage) Reset() {
-	for i := range p.Used {
-		p.Used[i] = false
-		p.Masked[i] = false
-		p.Pos[i] = 0
+	clear(p.Used)
+	clear(p.Masked)
+	clear(p.Pos)
+	p.attended = 0
+}
+
+// SetSlot writes slot s's occupancy and mask bits, keeping the attended
+// count current. It is the only writer of Used and Masked besides Reset.
+func (p *KvPage) SetSlot(s int, used, masked bool) {
+	if p.Used[s] && !p.Masked[s] {
+		p.attended--
+	}
+	p.Used[s], p.Masked[s] = used, masked
+	if used && !masked {
+		p.attended++
+	}
+}
+
+// Attended reports how many slots a forward attends over: used and not
+// masked.
+func (p *KvPage) Attended() int { return p.attended }
+
+// CopyFrom deep-copies src's occupancy, mask bits, positions and (when
+// src carries them) KV vectors into p: a whole-page migration between
+// replicas.
+func (p *KvPage) CopyFrom(src *KvPage) {
+	for s := range src.Used {
+		p.SetSlot(s, src.Used[s], src.Masked[s])
+		p.Pos[s] = src.Pos[s]
+		if len(src.K[s]) > 0 {
+			p.K[s] = append(p.K[s][:0], src.K[s]...)
+			p.V[s] = append(p.V[s][:0], src.V[s]...)
+		}
 	}
 }
 
@@ -237,8 +273,7 @@ func CopyTokens(src, dst *KvPage, srcOff, dstOff, n int) error {
 		copy(dst.K[dstOff+i], src.K[srcOff+i])
 		copy(dst.V[dstOff+i], src.V[srcOff+i])
 		dst.Pos[dstOff+i] = src.Pos[srcOff+i]
-		dst.Used[dstOff+i] = src.Used[srcOff+i]
-		dst.Masked[dstOff+i] = src.Masked[srcOff+i]
+		dst.SetSlot(dstOff+i, src.Used[srcOff+i], src.Masked[srcOff+i])
 	}
 	return nil
 }
@@ -489,8 +524,7 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 		copy(ref.page.K[ref.slot], colK[nc+i])
 		copy(ref.page.V[ref.slot], colV[nc+i])
 		ref.page.Pos[ref.slot] = inputs[i].Pos
-		ref.page.Used[ref.slot] = true
-		ref.page.Masked[ref.slot] = false
+		ref.page.SetSlot(ref.slot, true, false)
 	}
 
 	// Final norm on the last len(outEmb) tokens.

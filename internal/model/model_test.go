@@ -137,6 +137,28 @@ func TestQuickSplitPointEquivalence(t *testing.T) {
 	}
 }
 
+// CopyFrom migrates a whole page: KV vectors, positions, occupancy, mask
+// bits and the attended count, overwriting whatever the destination held.
+func TestCopyFromClonesPage(t *testing.T) {
+	m := testModel(t)
+	src := m.NewKvPage()
+	if _, err := m.Forward(nil, embedPrompt(t, m, []int{5, 6, 7, 8, 9}, 0), []*KvPage{src}, nil, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	src.SetSlot(1, true, true)
+	dst := m.NewKvPage()
+	if _, err := m.Forward(nil, embedPrompt(t, m, []int{20, 21, 22, 23, 24, 25, 26, 27, 28}, 7), []*KvPage{dst}, nil, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	dst.CopyFrom(src)
+	if d := diffPages([]*KvPage{src}, []*KvPage{dst}); d != "" {
+		t.Fatal(d)
+	}
+	if dst.Attended() != src.NumUsed()-1 {
+		t.Fatalf("attended %d, want %d used minus 1 masked", dst.Attended(), src.NumUsed())
+	}
+}
+
 // Masking a KV entry must be equivalent to never having cached it.
 func TestMaskEquivalentToOmission(t *testing.T) {
 	m := testModel(t)
@@ -149,7 +171,7 @@ func TestMaskEquivalentToOmission(t *testing.T) {
 	if _, err := m.Forward(nil, inA, pagesA, nil, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	pagesA[0].Masked[1] = true
+	pagesA[0].SetSlot(1, true, true)
 
 	// Cache only tokens != 1 (same positions).
 	pagesB := []*KvPage{m.NewKvPage(), m.NewKvPage()}
@@ -188,12 +210,12 @@ func TestMaskEquivalentToOmission(t *testing.T) {
 	// number of visible context entries; exact equality is not expected
 	// because A's kept KV was computed with token 1 present.
 	unmaskedOut := m.NewEmbedSlot()
-	pagesA[0].Masked[1] = false
+	pagesA[0].SetSlot(1, true, false)
 	q3 := embedPrompt(t, m, m.Tokenizer().Encode("?"), n)
 	if _, err := m.Forward(pagesA, q3, nil, []*EmbedSlot{unmaskedOut}, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	pagesA[0].Masked[1] = true
+	pagesA[0].SetSlot(1, true, true)
 	if maxAbsDiff(outA.Vec, unmaskedOut.Vec) == 0 {
 		t.Fatal("masking a context token had no effect on attention")
 	}
@@ -494,6 +516,30 @@ func BenchmarkNextDist(b *testing.B) {
 	}
 }
 
+// BenchmarkNextDistVaried rotates NextDist over 64 distinct hidden states
+// (the final outputs of 64 different one-token prompts). BenchmarkNextDist
+// repeats one input, so the branch predictor learns its top-K selection;
+// this one measures the selection on distributions that keep changing.
+func BenchmarkNextDistVaried(b *testing.B) {
+	m := StandardCatalog(42).Models["llama-1b"]
+	outs := make([]*EmbedSlot, 64)
+	for i := range outs {
+		outs[i] = m.NewEmbedSlot()
+		in := embedPrompt(b, m, []int{4 + i*37%(m.VocabSize()-4)}, i)
+		if _, err := m.Forward(nil, in, nil, outs[i:i+1], nil, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, _, err := m.NextDist(outs[i%len(outs)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
 // referenceForward is Model.Forward as it stood before the forward pass was
 // optimized, kept as the bit-exact oracle: naive matrix-vector products,
 // RoPE recomputed per element, head, layer and projection, and attention
@@ -672,8 +718,7 @@ func referenceForward(m *Model, ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvP
 			copy(ref.page.V[ref.slot][l*d:(l+1)*d], newV[i][l])
 		}
 		ref.page.Pos[ref.slot] = inputs[i].Pos
-		ref.page.Used[ref.slot] = true
-		ref.page.Masked[ref.slot] = false
+		ref.page.SetSlot(ref.slot, true, false)
 	}
 
 	// Final norm on the last len(outEmb) tokens.
@@ -755,6 +800,8 @@ func clonePages(pages []*KvPage) []*KvPage {
 			Pos:    slices.Clone(p.Pos),
 			Used:   slices.Clone(p.Used),
 			Masked: slices.Clone(p.Masked),
+
+			attended: p.attended,
 		}
 		for s := range p.K {
 			c.K = append(c.K, slices.Clone(p.K[s]))
@@ -792,6 +839,9 @@ func diffPages(a, b []*KvPage) string {
 					pa.Pos[s], pa.Used[s], pa.Masked[s], pb.Pos[s], pb.Used[s], pb.Masked[s])
 			}
 		}
+		if pa.Attended() != pb.Attended() {
+			return fmt.Sprintf("page %d: attended count %d vs %d", i, pa.Attended(), pb.Attended())
+		}
 	}
 	return ""
 }
@@ -828,7 +878,7 @@ func TestForwardMatchesReference(t *testing.T) {
 					positions[n-1] = rng.IntN(pos)
 				}
 				for _, p := range [][]*KvPage{fast, ref} { // odd trials mask the first cached entry
-					p[0].Masked[0] = p[0].Used[0] && trial%2 == 1
+					p[0].SetSlot(0, p[0].Used[0], p[0].Used[0] && trial%2 == 1)
 				}
 				nc := len(gatherContext(fast))
 				var mask [][]bool

@@ -111,13 +111,28 @@ func (c *Context) Alloc() *inferlet.Alloc { return c.alloc }
 
 // Pages returns the live page handles (advanced use: export, masking).
 func (c *Context) Pages() []api.KvPage {
-	var out []api.KvPage
+	return c.appendLive(make([]api.KvPage, 0, c.numLive()))
+}
+
+// numLive counts the live stream pages.
+func (c *Context) numLive() int {
+	n := 0
 	for _, e := range c.entries {
 		if e.live {
-			out = append(out, e.h)
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// appendLive appends the live stream page handles to dst.
+func (c *Context) appendLive(dst []api.KvPage) []api.KvPage {
+	for _, e := range c.entries {
+		if e.live {
+			dst = append(dst, e.h)
+		}
+	}
+	return dst
 }
 
 func (c *Context) capacity() int { return len(c.entries) * c.Model.PageSize }
@@ -143,7 +158,8 @@ func (c *Context) ensure(n int) error {
 // ctxPages lists attention-input pages: pinned read-only context first,
 // then the live stream pages.
 func (c *Context) ctxPages() []api.KvPage {
-	return append(append([]api.KvPage(nil), c.pinned...), c.Pages()...)
+	out := make([]api.KvPage, 0, len(c.pinned)+c.numLive())
+	return c.appendLive(append(out, c.pinned...))
 }
 
 // ComposeContext pins foreign pages (e.g. imported prompt modules cached
